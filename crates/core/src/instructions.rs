@@ -1,252 +1,137 @@
-//! Pipeline instruction generation (Fig. 7, step 6): lowering a [`Plan`]
-//! into per-device instruction streams executable by the back-end.
+//! Text rendering of a plan's instruction streams (`dpipe plan
+//! --instructions`).
 //!
-//! One stream is emitted per chain slot (a stage's replicas run in
-//! lockstep, so one stream represents all of them). Streams contain the
-//! paper's instruction set — micro-batch stage forwards/backwards (and
-//! self-conditioning forwards), rendezvous send/receive between adjacent
-//! stages, non-trainable forwards placed into bubbles, and the leftover
-//! frozen tail — and can be replayed on the instruction-level simulator to
-//! validate that the realised makespan matches the analytic schedule.
+//! The streams are the exact lowering [`lower_plan`] that
+//! [`simulate_plan`](crate::simulate_plan) replays, so what is printed is
+//! what the simulator executes.
 
 use crate::plan::Plan;
-use dpipe_schedule::{OpKind, PipelineDirection, ScheduledOp};
-use dpipe_sim::Instruction;
+use crate::simulate::lower_plan;
 
-/// Deterministic rendezvous tag for a transfer.
-fn tag(direction: PipelineDirection, kind: OpKind, micro_batch: usize, boundary: usize) -> u64 {
-    let d = matches!(direction, PipelineDirection::Up) as u64;
-    let k = match kind {
-        OpKind::Forward => 0u64,
-        OpKind::SelfCondForward => 1,
-        OpKind::Backward => 2,
-    };
-    (d << 40) | (k << 32) | ((micro_batch as u64) << 16) | boundary as u64
-}
+/// Instructions printed per slot before the rest is summarised.
+const SHOWN_PER_SLOT: usize = 12;
 
-/// Generates per-slot instruction streams realising the plan's iteration:
-/// the pipelined trainable part, the bubble fills at their positions, and
-/// the leftover frozen tail. Gradient synchronisation is overlappable
-/// communication and is not represented in the compute streams.
-pub fn generate_instructions(plan: &Plan) -> Vec<Vec<Instruction>> {
-    let num_slots = plan.schedule.num_slots;
-    // Per-slot ops in execution order.
-    let mut per_slot: Vec<Vec<&ScheduledOp>> = vec![Vec::new(); num_slots];
-    for op in &plan.schedule.ops {
-        per_slot[op.op.slot].push(op);
-    }
-    for list in &mut per_slot {
-        list.sort_by(|a, b| a.start.total_cmp(&b.start));
-    }
-    // Slot of each (direction, stage).
-    let slot_of = |direction: PipelineDirection, stage: usize| -> Option<usize> {
-        plan.schedule
-            .ops
-            .iter()
-            .find(|o| o.op.direction == direction && o.op.stage == stage)
-            .map(|o| o.op.slot)
-    };
-    let max_stage = |direction: PipelineDirection| -> usize {
-        plan.schedule
-            .ops
-            .iter()
-            .filter(|o| o.op.direction == direction)
-            .map(|o| o.op.stage)
-            .max()
-            .unwrap_or(0)
-    };
-
-    // Fill items per slot, positioned by their bubble's start time.
-    let mut fills: Vec<Vec<(f64, f64, String)>> = vec![Vec::new(); num_slots]; // (time, dur, label)
-    for bf in &plan.fill.bubbles {
-        let bubble = &plan.bubbles[bf.bubble_index];
-        let mut t = bubble.start;
-        for item in &bf.items {
-            for &slot in &bubble.slots {
-                fills[slot].push((
-                    t,
-                    item.duration,
-                    format!("frozen c{} l{}", item.component.index(), item.layer),
-                ));
-            }
-            t += item.duration;
+/// Renders the plan's per-slot instruction streams: a header per device
+/// slot with its instruction count, then its first
+/// [`SHOWN_PER_SLOT`] instructions and a count of the rest.
+pub fn render_instructions(plan: &Plan) -> String {
+    let mut out = String::new();
+    for (slot, prog) in lower_plan(plan).iter().enumerate() {
+        out.push_str(&format!(
+            "\ndevice slot {slot} ({} instructions):\n",
+            prog.len()
+        ));
+        for instr in prog.iter().take(SHOWN_PER_SLOT) {
+            out.push_str(&format!("  {instr:?}\n"));
+        }
+        if prog.len() > SHOWN_PER_SLOT {
+            out.push_str(&format!("  ... {} more\n", prog.len() - SHOWN_PER_SLOT));
         }
     }
-
-    let mut streams: Vec<Vec<Instruction>> = Vec::with_capacity(num_slots);
-    for slot in 0..num_slots {
-        let mut prog: Vec<Instruction> = Vec::new();
-        let mut fill_iter = {
-            let mut f = std::mem::take(&mut fills[slot]);
-            f.sort_by(|a, b| a.0.total_cmp(&b.0));
-            f.into_iter().peekable()
-        };
-        for op in &per_slot[slot] {
-            // Emit any fill work scheduled before this op starts.
-            while let Some(&(t, dur, _)) = fill_iter.peek() {
-                if t < op.start - 1e-12 {
-                    let Some((_, _, label)) = fill_iter.next() else {
-                        break;
-                    };
-                    prog.push(Instruction::Compute {
-                        label,
-                        seconds: dur,
-                    });
-                    let _ = (t, dur);
-                } else {
-                    break;
-                }
-            }
-            let o = &op.op;
-            let dir = o.direction;
-            let last = max_stage(dir);
-            match o.kind {
-                OpKind::Forward | OpKind::SelfCondForward => {
-                    if o.stage > 0 {
-                        if let Some(peer) = slot_of(dir, o.stage - 1) {
-                            prog.push(Instruction::Recv {
-                                peer,
-                                tag: tag(dir, o.kind, o.micro_batch, o.stage),
-                            });
-                        }
-                    }
-                    prog.push(Instruction::Compute {
-                        label: format!("{} s{} mb{}", o.kind, o.stage, o.micro_batch),
-                        seconds: op.end - op.start,
-                    });
-                    if o.stage < last {
-                        if let Some(peer) = slot_of(dir, o.stage + 1) {
-                            prog.push(Instruction::Send {
-                                peer,
-                                tag: tag(dir, o.kind, o.micro_batch, o.stage + 1),
-                                seconds: 0.0,
-                            });
-                        }
-                    }
-                }
-                OpKind::Backward => {
-                    if o.stage < last {
-                        if let Some(peer) = slot_of(dir, o.stage + 1) {
-                            prog.push(Instruction::Recv {
-                                peer,
-                                tag: tag(dir, o.kind, o.micro_batch, o.stage),
-                            });
-                        }
-                    }
-                    prog.push(Instruction::Compute {
-                        label: format!("B s{} mb{}", o.stage, o.micro_batch),
-                        seconds: op.end - op.start,
-                    });
-                    if o.stage > 0 {
-                        if let Some(peer) = slot_of(dir, o.stage - 1) {
-                            prog.push(Instruction::Send {
-                                peer,
-                                tag: tag(dir, o.kind, o.micro_batch, o.stage - 1),
-                                seconds: 0.0,
-                            });
-                        }
-                    }
-                }
-            }
-        }
-        // Remaining fills (bubbles after the slot's last op).
-        for (_, dur, label) in fill_iter {
-            prog.push(Instruction::Compute {
-                label,
-                seconds: dur,
-            });
-        }
-        // Leftover frozen tail runs on every slot.
-        if plan.fill.leftover_time > 0.0 {
-            prog.push(Instruction::Compute {
-                label: "frozen leftover tail".to_owned(),
-                seconds: plan.fill.leftover_time,
-            });
-        }
-        streams.push(prog);
-    }
-    streams
+    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::plan::BackbonePartition;
     use crate::planner::Planner;
     use dpipe_cluster::ClusterSpec;
-    use dpipe_model::zoo;
-    use dpipe_sim::InstructionSim;
+    use dpipe_sim::{Instruction, InstructionSim};
+    use dpipe_spec::PlanSpec;
 
-    fn plan_for(model: dpipe_model::ModelSpec, batch: u32) -> Plan {
-        Planner::new(model, ClusterSpec::single_node(8))
-            .plan(batch)
-            .unwrap()
+    fn plan_for(model: &str, batch: u32) -> Plan {
+        Planner::plan_spec(&PlanSpec::zoo(model, ClusterSpec::single_node(8), batch)).unwrap()
     }
 
-    #[test]
-    fn streams_execute_without_deadlock() {
-        let plan = plan_for(zoo::stable_diffusion_v2_1(), 256);
-        let streams = generate_instructions(&plan);
+    /// Replays the lowered streams fault-free and checks that every
+    /// instruction ran and that they end exactly where the analytic
+    /// schedule's last op or fill item ends.
+    fn assert_replay_is_exact(plan: &Plan, streams: &[Vec<Instruction>]) {
         assert_eq!(streams.len(), plan.schedule.num_slots);
-        let (traces, makespan) = InstructionSim::run(&streams).unwrap();
-        assert!(!traces.is_empty());
-        assert!(makespan > 0.0);
-    }
-
-    #[test]
-    fn makespan_matches_analytic_iteration() {
-        let plan = plan_for(zoo::controlnet_v1_0(), 384);
-        let streams = generate_instructions(&plan);
-        let (_, makespan) = InstructionSim::run(&streams).unwrap();
-        // Compute-side iteration: the analytic compute end plus the tail
-        // (sync overlaps and is not in the streams). Rendezvous blocking
-        // can add small serialisation relative to the analytic model.
-        let analytic = plan.schedule.compute_end() + plan.fill.leftover_time;
-        let rel = (makespan - analytic).abs() / analytic;
+        let (traces, makespan) = InstructionSim::run(streams).unwrap();
+        assert_eq!(traces.len(), streams.iter().map(Vec::len).sum::<usize>());
+        let fill_end = plan
+            .fill
+            .bubbles
+            .iter()
+            .map(|bf| {
+                let start = plan.bubbles[bf.bubble_index].start;
+                start + bf.items.iter().map(|i| i.duration).sum::<f64>()
+            })
+            .fold(0.0, f64::max);
+        let analytic = plan.schedule.compute_end().max(fill_end);
         assert!(
-            rel < 0.05,
-            "instruction makespan {makespan} vs analytic {analytic} ({:.1}%)",
-            rel * 100.0
+            (makespan - analytic).abs() < 1e-6,
+            "replayed makespan {makespan} vs analytic {analytic}"
         );
     }
 
     #[test]
+    fn streams_execute_without_deadlock() {
+        let plan = plan_for("sd", 256);
+        let streams = lower_plan(&plan);
+        assert!(streams.iter().all(|s| !s.is_empty()));
+        assert_replay_is_exact(&plan, &streams);
+        let text = render_instructions(&plan);
+        for slot in 0..streams.len() {
+            assert!(text.contains(&format!("\ndevice slot {slot} (")));
+        }
+    }
+
+    #[test]
+    fn makespan_matches_analytic_iteration() {
+        let plan = plan_for("controlnet", 384);
+        assert_replay_is_exact(&plan, &lower_plan(&plan));
+    }
+
+    #[test]
     fn sends_and_recvs_are_balanced() {
-        let plan = plan_for(zoo::stable_diffusion_v2_1(), 128);
-        let streams = generate_instructions(&plan);
+        let plan = plan_for("sd", 128);
+        let streams = lower_plan(&plan);
         let count = |pred: &dyn Fn(&Instruction) -> bool| -> usize {
             streams.iter().flatten().filter(|i| pred(i)).count()
         };
         let sends = count(&|i| matches!(i, Instruction::Send { .. }));
         let recvs = count(&|i| matches!(i, Instruction::Recv { .. }));
+        assert!(sends > 0);
         assert_eq!(sends, recvs);
+        assert_replay_is_exact(&plan, &streams);
     }
 
     #[test]
     fn bidirectional_plans_lower_too() {
-        let plan = plan_for(zoo::cdm_lsun(), 256);
-        let streams = generate_instructions(&plan);
-        let (_, makespan) = InstructionSim::run(&streams).unwrap();
-        let analytic = plan.schedule.compute_end() + plan.fill.leftover_time;
-        let rel = (makespan - analytic).abs() / analytic;
-        assert!(rel < 0.08, "{makespan} vs {analytic}");
+        let plan = plan_for("cdm-lsun", 256);
+        assert!(matches!(
+            plan.partition,
+            BackbonePartition::Bidirectional(_)
+        ));
+        assert_replay_is_exact(&plan, &lower_plan(&plan));
     }
 
     #[test]
     fn fill_work_appears_in_streams() {
-        let plan = plan_for(zoo::controlnet_v1_0(), 384);
+        let plan = plan_for("controlnet", 384);
         assert!(plan.fill.filled_time() > 0.0, "plan should fill bubbles");
-        let streams = generate_instructions(&plan);
-        let frozen_items = streams
+        let streams = lower_plan(&plan);
+        let fill_items = streams
             .iter()
             .flatten()
-            .filter(|i| matches!(i, Instruction::Compute { label, .. } if label.starts_with("frozen c")))
+            .filter(
+                |i| matches!(i, Instruction::Compute { label, .. } if label.starts_with("fill c")),
+            )
             .count();
+        // One item per bubble slot it fills.
         let expected: usize = plan
             .fill
             .bubbles
             .iter()
-            .map(|b| b.items.len() * plan.bubbles[b.bubble_index].slots.len())
+            .map(|b| {
+                let filled = b.items.iter().filter(|i| i.duration > 0.0).count();
+                filled * plan.bubbles[b.bubble_index].slots.len()
+            })
             .sum();
-        assert_eq!(frozen_items, expected);
+        assert!(expected > 0);
+        assert_eq!(fill_items, expected);
     }
 }

@@ -37,12 +37,12 @@ mod planner;
 mod simulate;
 
 pub use error::PlanError;
-pub use instructions::generate_instructions;
+pub use instructions::render_instructions;
 pub use json::plan_json;
 pub use plan::{BackbonePartition, Plan, PreprocessingReport};
 pub use planner::{PlanStats, Planner, PlannerOptions};
 pub use simulate::{
-    degraded_spec, render_sim_timeline, simulate_plan, simulation_json, stage_layouts,
+    degraded_spec, lower_plan, render_sim_timeline, simulate_plan, simulation_json, stage_layouts,
     MigrationDiff, Replan, SimReport, SimulationOutcome, SlotTimeline, StageEdit, StageLayout,
     TimelineSpan,
 };

@@ -25,7 +25,6 @@ use dpipe_sim::{FaultPlan, FaultSpec, FaultedRun, Instruction, InstructionSim};
 use dpipe_spec::json::JsonValue;
 use dpipe_spec::PlanSpec;
 use dpipe_trace::{SpanId, Tracer};
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// What one instruction in a lowered stream stands for.
@@ -61,7 +60,7 @@ struct Lowered {
 /// a globally unique tag. Fill items become plain `Compute` entries at the
 /// front of their bubble on every idle slot, mirroring
 /// [`dpipe_sim::CombinedIteration`]'s accounting.
-fn lower_plan(plan: &Plan) -> Lowered {
+fn lower(plan: &Plan) -> Lowered {
     let sched = &plan.schedule;
     let num_slots = sched.num_slots;
 
@@ -190,6 +189,15 @@ fn lower_plan(plan: &Plan) -> Lowered {
     }
 }
 
+/// The plan's per-slot instruction streams (Fig. 7, step 6): the exact
+/// lowering [`simulate_plan`] replays. Replayed fault-free, the streams end
+/// where the analytic schedule's last op or fill item ends; the leftover
+/// frozen tail and the gradient syncs are accounted analytically and are
+/// not in the streams.
+pub fn lower_plan(plan: &Plan) -> Vec<Vec<Instruction>> {
+    lower(plan).streams
+}
+
 /// Global device ranks executing each chain slot, for one pipeline group.
 ///
 /// Single pipelines map stage `i` to slot `i`; bidirectional pipelines map
@@ -287,7 +295,7 @@ fn run_group(plan: &Plan, lowered: &Lowered, fplan: &FaultPlan) -> Result<GroupE
 }
 
 /// One labelled span of a degraded timeline.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TimelineSpan {
     /// Human-readable label (`"F s1 mb2"`, `"fill c0 l3"`).
     pub label: String,
@@ -298,7 +306,7 @@ pub struct TimelineSpan {
 }
 
 /// The degraded timeline of one chain slot (group 0).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SlotTimeline {
     /// Chain slot index.
     pub slot: usize,
@@ -309,7 +317,7 @@ pub struct SlotTimeline {
 }
 
 /// Headline figures of a fault-injected simulation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SimReport {
     /// Fingerprint of the fault spec driving the run.
     pub fault_fingerprint: u64,
@@ -350,7 +358,7 @@ pub struct SimReport {
 }
 
 /// Where a stage of the plan lives: the unit the migration diff compares.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StageLayout {
     /// `"down"` or `"up"`.
     pub direction: String,
@@ -367,7 +375,7 @@ pub struct StageLayout {
 }
 
 /// One edit step of a [`MigrationDiff`].
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum StageEdit {
     /// Stage `index` changes shape or placement.
     Changed {
@@ -396,7 +404,7 @@ pub enum StageEdit {
 
 /// A constructive diff between two plans' stage layouts: applying the
 /// edits to the old layout yields the new one exactly.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MigrationDiff {
     /// Edit script, aligned changes first, then removals (descending),
     /// then additions (ascending).
@@ -528,7 +536,7 @@ impl MigrationDiff {
 }
 
 /// Outcome of re-planning on the surviving cluster after node drops.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Replan {
     /// Machines removed from the cluster.
     pub dropped_machines: Vec<usize>,
@@ -547,7 +555,7 @@ pub struct Replan {
 }
 
 /// A complete fault-injected simulation result.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SimulationOutcome {
     /// Headline figures.
     pub report: SimReport,
@@ -796,7 +804,7 @@ pub fn simulate_plan(
 
     let lowered = {
         let mut s = tracer.child_span("simulate.lower", span.id());
-        let lowered = lower_plan(plan);
+        let lowered = lower(plan);
         s.set(
             "instructions",
             lowered.streams.iter().map(Vec::len).sum::<usize>(),

@@ -409,7 +409,7 @@ fn trace_dir_writes_chrome_trace_files_per_request() {
     let health = client.request("GET", "/healthz", b"").unwrap();
     assert_eq!(health.status, 200);
 
-    let files: Vec<_> = std::fs::read_dir(&dir)
+    let mut files: Vec<_> = std::fs::read_dir(&dir)
         .unwrap()
         .map(|e| e.unwrap().path())
         .collect();
@@ -418,6 +418,10 @@ fn trace_dir_writes_chrome_trace_files_per_request() {
         "no trace file written to {}",
         dir.display()
     );
+    // Files are named by request sequence number; the /plan request is the
+    // first (`request-000000-200.json`). `read_dir` order is unspecified,
+    // and the /healthz trace may already be on disk too.
+    files.sort();
     let text = std::fs::read_to_string(&files[0]).unwrap();
     let doc = parse(&text).expect("trace file is valid JSON");
     let events = doc

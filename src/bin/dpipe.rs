@@ -6,7 +6,7 @@
 //! dpipe plan --model sd --batch 256 --emit-spec | dpipe plan --spec -
 //! dpipe models
 //! dpipe baselines --model controlnet --machines 4 --batch 1024
-//! dpipe serve --requests plans.txt --workers 4
+//! dpipe serve --requests specs.jsonl --workers 4
 //! dpipe sweep --models sd,dit --gpus 4,8 --batches 128,256 --workers 4
 //! dpipe sweep --spec sweep.json
 //! ```
@@ -17,7 +17,7 @@
 
 use diffusionpipe::baselines::{ddp, gpipe, spp, zero3};
 use diffusionpipe::core::{
-    generate_instructions, render_sim_timeline, simulate_plan, BackbonePartition, FaultSpec,
+    render_instructions, render_sim_timeline, simulate_plan, BackbonePartition, FaultSpec,
     PlanError, Planner, PlannerOptions,
 };
 use diffusionpipe::partition::SearchSpace;
@@ -52,6 +52,9 @@ USAGE:
       --model/--machines with --spec are rejected. --emit-spec prints the
       resolved spec instead of planning, so any flag combination
       round-trips through `--emit-spec | dpipe plan --spec -`.
+      --instructions prints the per-slot instruction streams that
+      `dpipe simulate` replays (the frozen tail and gradient syncs are
+      accounted analytically and are not in the streams).
       --trace FILE records every planner phase (validate, profile,
       enumerate, per-config partition DP, schedule, fill, select) as a
       Chrome trace-event JSON file — open it in Perfetto or
@@ -73,9 +76,9 @@ USAGE:
       `POST /simulate` response document.
   dpipe serve --requests <file|-> [--workers N] [--json]
       Batch-serve planning requests through the worker pool + plan cache.
-      One request per line: model=<name> [machines=N|SPEC] [gpus=N]
-      [batch=N] [fill=on|off] [partial=on|off]; '#' starts a comment.
-      '-' reads stdin.
+      One single-line PlanSpec JSON document per line (the form the
+      examples/specs/*.json files and --emit-spec use); blank lines and
+      lines starting with '#' are skipped. '-' reads stdin.
   dpipe serve --listen <addr> [--workers N] [--conn-workers N] [--queue N]
              [--max-in-flight N] [--max-body BYTES] [--read-timeout-ms MS]
              [--rate N] [--burst N] [--cache-capacity N]
@@ -192,7 +195,7 @@ fn cmd_models() -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// Reads a `--spec` source: a file path or `-` for stdin.
+/// Reads a `--spec` or `--requests` source: a file path or `-` for stdin.
 fn read_spec_source(source: &str) -> Result<String, String> {
     if source == "-" {
         let mut buf = String::new();
@@ -362,16 +365,7 @@ fn cmd_plan(args: &Args) -> ExitCode {
         println!("\n{}", render_timeline(&plan.schedule, 100));
     }
     if args.has("instructions") {
-        let streams = generate_instructions(&plan);
-        for (slot, prog) in streams.iter().enumerate() {
-            println!("\ndevice slot {slot} ({} instructions):", prog.len());
-            for instr in prog.iter().take(12) {
-                println!("  {instr:?}");
-            }
-            if prog.len() > 12 {
-                println!("  ... {} more", prog.len() - 12);
-            }
-        }
+        print!("{}", render_instructions(&plan));
     }
     ExitCode::SUCCESS
 }
@@ -595,46 +589,6 @@ fn cmd_simulate(args: &Args) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// Parses one `serve` request line: whitespace-separated `key=value` tokens
-/// (`model=` mandatory; `machines` — a count or an `a100:4,h100:4`-style
-/// class spec — `gpus`, `batch`, `fill`, `partial` optional).
-fn parse_request_line(line: &str) -> Result<PlanRequest, String> {
-    let mut model: Option<ModelSpec> = None;
-    let mut machines = "1".to_owned();
-    let mut gpus = 8usize;
-    let mut batch: Option<u32> = None;
-    let mut options = PlannerOptions::default();
-    for token in line.split_whitespace() {
-        let (key, value) = token
-            .split_once('=')
-            .ok_or_else(|| format!("expected key=value, got `{token}`"))?;
-        match key {
-            "model" => {
-                model =
-                    Some(model_by_name(value).ok_or_else(|| format!("unknown model `{value}`"))?);
-            }
-            "machines" => machines = value.to_owned(),
-            "gpus" => gpus = value.parse().map_err(|_| format!("bad gpus `{value}`"))?,
-            "batch" => batch = Some(value.parse().map_err(|_| format!("bad batch `{value}`"))?),
-            "fill" => options.bubble_filling = parse_switch(value)?,
-            "partial" => options.partial_batch = parse_switch(value)?,
-            _ => return Err(format!("unknown key `{key}`")),
-        }
-    }
-    let model = model.ok_or_else(|| "missing model=<name>".to_owned())?;
-    let cluster = cluster_from_spec(&machines, gpus).map_err(|e| format!("machines: {e}"))?;
-    let batch = batch.unwrap_or(32 * cluster.world_size() as u32);
-    Ok(PlanRequest::new(model, cluster, batch).with_options(options))
-}
-
-fn parse_switch(value: &str) -> Result<bool, String> {
-    match value {
-        "on" | "true" | "1" => Ok(true),
-        "off" | "false" | "0" => Ok(false),
-        _ => Err(format!("expected on/off, got `{value}`")),
-    }
-}
-
 /// `dpipe serve --listen`: the HTTP frontend, running until a
 /// `POST /shutdown` drains it.
 fn cmd_serve_http(args: &Args, listen: &str) -> ExitCode {
@@ -691,20 +645,11 @@ fn cmd_serve(args: &Args) -> ExitCode {
         eprintln!("missing --requests <file|-> (or --listen <addr> for HTTP)");
         return ExitCode::FAILURE;
     };
-    let text = if source == "-" {
-        let mut buf = String::new();
-        if let Err(e) = std::io::stdin().read_to_string(&mut buf) {
-            eprintln!("reading stdin failed: {e}");
+    let text = match read_spec_source(source) {
+        Ok(text) => text,
+        Err(e) => {
+            eprintln!("{e}");
             return ExitCode::FAILURE;
-        }
-        buf
-    } else {
-        match std::fs::read_to_string(source) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("reading {source} failed: {e}");
-                return ExitCode::FAILURE;
-            }
         }
     };
     let mut requests = Vec::new();
@@ -713,7 +658,10 @@ fn cmd_serve(args: &Args) -> ExitCode {
         if line.is_empty() || line.starts_with('#') {
             continue;
         }
-        match parse_request_line(line) {
+        let request = PlanSpec::from_json(line)
+            .map_err(|e| e.to_string())
+            .and_then(|spec| PlanRequest::from_spec(spec).map_err(|e| e.to_string()));
+        match request {
             Ok(r) => requests.push(r),
             Err(e) => {
                 eprintln!("line {}: {e}", lineno + 1);

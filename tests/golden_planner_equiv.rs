@@ -12,8 +12,9 @@
 //!   `tests/goldens/plan_summaries.txt`. Any drift in planner output
 //!   fails; regenerate deliberately with `DPIPE_UPDATE_GOLDENS=1`.
 //! * `fast_matches_reference_planner_end_to_end` re-derives a subset of
-//!   those plans through the reference loop and compares the full plan
-//!   structure, not just the summary.
+//!   those plans, plus every committed plan spec under `examples/specs/`
+//!   (including the mixed A100/H100 fleet), through the reference loop
+//!   and compares the full plan structure, not just the summary.
 //!
 //! The committed goldens were produced by the reference planner; the fast
 //! planner reproducing them *is* the optimisation's correctness proof.
@@ -25,6 +26,14 @@ use diffusionpipe::prelude::*;
 const GOLDEN_PATH: &str = "tests/goldens/plan_summaries.txt";
 const DEVICE_COUNTS: [usize; 3] = [8, 16, 64];
 const BATCHES: [u32; 2] = [64, 256];
+/// The committed plan specs `dpipe plan --spec` documents and CI plans.
+const COMMITTED_SPECS: [&str; 5] = [
+    "sd_8gpu_b256.json",
+    "sd_64gpu_b256.json",
+    "dit_64gpu_b256.json",
+    "sdxl_64gpu_b256.json",
+    "sd_mixed_a100_h100_b256.json",
+];
 
 fn zoo_models() -> Vec<(&'static str, ModelSpec)> {
     vec![
@@ -117,23 +126,34 @@ fn golden_summaries_match_committed_file() {
 fn fast_matches_reference_planner_end_to_end() {
     // Full-structure equality (partition, schedule, fill, metrics) on a
     // cross-section: single-backbone small + large, bidirectional, and a
-    // multi-node shape. The reference loop is slow, so the full grid is
-    // covered by the summary goldens above instead.
-    let cases: [(&str, ModelSpec, usize, u32); 4] = [
+    // multi-node shape, then every committed plan spec. The reference loop
+    // is slow, so the full grid is covered by the summary goldens above
+    // instead.
+    let mut cases: Vec<(String, Planner, u32)> = [
         ("sd", zoo::stable_diffusion_v2_1(), 8, 64),
         ("cdm-lsun", zoo::cdm_lsun(), 8, 64),
         ("dit", zoo::dit_xl_2(), 16, 256),
         ("imagen", zoo::imagen_base(), 64, 64),
-    ];
-    for (name, model, gpus, batch) in cases {
+    ]
+    .into_iter()
+    .map(|(name, model, gpus, batch)| {
         let planner = Planner::new(model, cluster_for(gpus)).with_parallelism(3);
+        (format!("{name}@{gpus}/b{batch}"), planner, batch)
+    })
+    .collect();
+    for file in COMMITTED_SPECS {
+        let path = format!("examples/specs/{file}");
+        let text = std::fs::read_to_string(&path).expect("committed spec present");
+        let spec = PlanSpec::from_json(&text)
+            .expect("committed spec parses")
+            .with_parallelism(2);
+        let planner = Planner::from_spec(&spec).expect("committed spec resolves");
+        cases.push((path, planner, spec.global_batch));
+    }
+    for (name, planner, batch) in cases {
         let fast = planner.plan(batch).unwrap();
         let reference = planner.plan_reference(batch).unwrap();
-        assert_eq!(
-            fast.summary(),
-            reference.summary(),
-            "{name}@{gpus}/b{batch}"
-        );
+        assert_eq!(fast.summary(), reference.summary(), "{name}");
         assert_eq!(fast.hyper, reference.hyper, "{name}");
         assert_eq!(fast.partition, reference.partition, "{name}");
         assert_eq!(fast.schedule, reference.schedule, "{name}");
