@@ -13,30 +13,65 @@ use dpipe_profile::{CostPrefix, DeviceModel, ProfileDb, Profiler, ProfilingRepor
 use dpipe_schedule::{ScheduleBuilder, ScheduleKind};
 use dpipe_sim::CombinedIteration;
 use dpipe_spec::PlanSpec;
-use dpipe_trace::{Span, SpanId, Tracer};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use dpipe_trace::{SpanId, Tracer};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::time::Instant;
 
 pub use dpipe_spec::PlannerOptions;
 
 /// Counters describing one planning call (returned by
 /// [`Planner::plan_with_stats`]).
+///
+/// `configs` and `parallelism` are fixed by the request. The other counters
+/// depend on evaluation order: configurations are evaluated best-first
+/// (highest throughput ceiling first), and which ones a cut skips depends on
+/// how high the incumbent has climbed when each is reached — with several
+/// workers, on thread timing too. They are performance counters and may
+/// vary across parallel runs. The selected plan never does: a cut only
+/// skips a configuration whose throughput is provably *strictly* below a
+/// feasible plan's, and candidates are ranked by one total order
+/// (throughput, exact ties to the smaller enumeration index) whatever order
+/// they arrive in.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PlanStats {
     /// Hyper-parameter configurations enumerated.
     pub configs: usize,
-    /// Configurations that produced a complete, memory-feasible candidate.
+    /// Evaluated configurations that produced a complete, memory-feasible
+    /// candidate.
     pub feasible: usize,
-    /// Partition-DP counters summed over every configuration.
+    /// Partition-DP counters summed over every evaluated configuration.
     pub dp: DpStats,
-    /// Configurations whose bubble-filling pass was skipped because their
-    /// post-schedule throughput upper bound could not beat the best plan
-    /// found so far. A performance counter: the exact value depends on
-    /// evaluation order, so it may vary across parallel runs (the selected
-    /// plan never does).
+    /// Configurations whose bubble-filling pass did not run because a bound
+    /// cut them: the pre-partition throughput ceiling (these are also
+    /// counted in `bound_skipped`) or the post-schedule throughput upper
+    /// bound, each compared against the best plan found so far.
     pub fill_skipped: usize,
+    /// Configurations skipped before partitioning because their admissible
+    /// throughput ceiling was strictly below the best plan found so far.
+    pub bound_skipped: usize,
     /// Worker threads the config search actually used.
     pub parallelism: usize,
+}
+
+/// The best throughput any search worker has found so far, shared by all
+/// workers: the f64's bits in an `AtomicU64` that only ever increases.
+/// Non-negative f64s order like their bit patterns, so `fetch_max` on the
+/// bits is a max on the values. Starts at 0.0, which cuts nothing.
+#[derive(Debug, Default)]
+struct Incumbent(AtomicU64);
+
+impl Incumbent {
+    fn get(&self) -> f64 {
+        f64::from_bits(self.0.load(Ordering::Relaxed))
+    }
+
+    /// Raises the incumbent to `throughput` if that is higher (NaN and
+    /// non-positive values are ignored).
+    fn raise(&self, throughput: f64) {
+        if throughput > 0.0 {
+            self.0.fetch_max(throughput.to_bits(), Ordering::Relaxed);
+        }
+    }
 }
 
 /// One evaluated configuration (internal).
@@ -46,6 +81,9 @@ struct ConfigOutcome {
     partition_seconds: f64,
     fill_seconds: f64,
     stats: DpStats,
+    /// `dp_groups · group_batch / max(compute_end, sync_end)`, when the
+    /// schedule was built.
+    throughput_ub: Option<f64>,
     fill_skipped: bool,
 }
 
@@ -58,11 +96,11 @@ struct WorkerResult {
     fill_seconds: f64,
     stats: DpStats,
     fill_skipped: usize,
+    bound_skipped: usize,
 }
 
 impl WorkerResult {
-    /// Folds one config outcome in; `outcome.index` must be increasing per
-    /// worker, which the work-stealing cursor guarantees.
+    /// Folds one config outcome in; outcomes may arrive in any index order.
     fn absorb(&mut self, outcome: ConfigOutcome) {
         self.partition_seconds += outcome.partition_seconds;
         self.fill_seconds += outcome.fill_seconds;
@@ -70,37 +108,388 @@ impl WorkerResult {
         self.fill_skipped += usize::from(outcome.fill_skipped);
         if let Some(plan) = outcome.plan {
             self.feasible += 1;
-            // Strictly-better-throughput wins, so the earliest config index
-            // is kept on exact ties — identical to the sequential loop.
-            let better = self
-                .best
-                .as_ref()
-                .is_none_or(|(_, b)| plan.throughput > b.throughput);
-            if better {
-                self.best = Some((outcome.index, plan));
-            }
+            self.offer(outcome.index, plan);
         }
     }
 
-    /// Merges another worker's reduction, preserving the same total order
-    /// (max throughput, ties broken by the smaller config index).
+    /// Counts `n` configurations cut by their throughput ceiling.
+    fn skip(&mut self, n: usize) {
+        self.bound_skipped += n;
+        self.fill_skipped += n;
+    }
+
+    /// Merges another worker's reduction.
     fn merge(&mut self, other: WorkerResult) {
         self.feasible += other.feasible;
         self.partition_seconds += other.partition_seconds;
         self.fill_seconds += other.fill_seconds;
         self.stats.merge(&other.stats);
         self.fill_skipped += other.fill_skipped;
-        if let Some((oi, op)) = other.best {
-            let replace = match &self.best {
-                None => true,
-                Some((si, sp)) => {
-                    op.throughput > sp.throughput || (op.throughput == sp.throughput && oi < *si)
-                }
-            };
-            if replace {
-                self.best = Some((oi, op));
-            }
+        self.bound_skipped += other.bound_skipped;
+        if let Some((index, plan)) = other.best {
+            self.offer(index, plan);
         }
+    }
+
+    /// Keeps the better of the current best and `plan` under one total
+    /// order: higher throughput wins, exact ties go to the smaller config
+    /// index — the earliest-index-on-ties rule of the sequential reference
+    /// loop, whatever order the candidates arrive in.
+    fn offer(&mut self, index: usize, plan: Plan) {
+        let replace = match &self.best {
+            None => true,
+            Some((bi, bp)) => {
+                plan.throughput > bp.throughput || (plan.throughput == bp.throughput && index < *bi)
+            }
+        };
+        if replace {
+            self.best = Some((index, plan));
+        }
+    }
+}
+
+/// Everything one plan call's config search shares (read-only) across its
+/// workers: the profiled class databases, the enumerated configurations
+/// and the cost tables (internal).
+struct Search<'p> {
+    planner: &'p Planner,
+    global_batch: u32,
+    backbones: Vec<ComponentId>,
+    class_map: ClassMap,
+    dbs: Vec<ProfileDb>,
+    profile_report: ProfilingReport,
+    configs: Vec<HyperParams>,
+    /// One `CostPrefix` per (backbone, device class).
+    prefixes: Vec<Vec<CostPrefix>>,
+    fill_cfg: FillConfig,
+    mm: MemoryModel<'p>,
+}
+
+impl<'p> Search<'p> {
+    /// Validates the request, profiles once per device class, enumerates
+    /// the (S, M, D) configurations and builds the shared cost tables, each
+    /// phase under its own span beneath `root`.
+    fn prepare(
+        planner: &'p Planner,
+        global_batch: u32,
+        root: Option<SpanId>,
+    ) -> Result<Self, PlanError> {
+        let tracer = &planner.tracer;
+        let mut validate_span = tracer.child_span("validate", root);
+        planner
+            .model
+            .validate()
+            .map_err(|e| PlanError::InvalidModel(e.to_string()))?;
+        planner
+            .cluster
+            .validate_classes()
+            .map_err(PlanError::InvalidRequest)?;
+        let backbones: Vec<_> = planner.model.backbones().map(|(id, _)| id).collect();
+        if backbones.len() > 2 {
+            return Err(PlanError::TooManyBackbones(backbones.len()));
+        }
+        validate_span.set("backbones", backbones.len());
+        validate_span.finish();
+
+        // Step 1: profile once per device class (simulated wall time
+        // reported). Homogeneous clusters resolve to a single class.
+        let class_map = planner.cluster.class_map();
+        let mut profile_span = tracer.child_span("profile", root);
+        let (dbs, profile_report) =
+            planner.profile_class_dbs(&class_map.compute_scales(), global_batch)?;
+        profile_span.set("classes", dbs.len());
+        profile_span.set("simulated_wall_s", profile_report.wall_time_seconds);
+        profile_span.finish();
+
+        let mut enumerate_span = tracer.child_span("enumerate_configs", root);
+        let min_layers = backbones
+            .iter()
+            .map(|&b| planner.model.component(b).num_layers())
+            .min()
+            .ok_or_else(|| PlanError::InvalidRequest("model has no backbone component".into()))?;
+        let configs =
+            enumerate_configs(&planner.cluster, global_batch, min_layers, &planner.search)
+                .map_err(|e| PlanError::InvalidRequest(e.to_string()))?;
+        enumerate_span.set("configs", configs.len());
+        enumerate_span.finish();
+
+        let mut fill_cfg = planner.fill_cfg.clone();
+        fill_cfg.partial_batch = planner.options.partial_batch;
+
+        // One CostPrefix per (backbone, device class), shared (read-only)
+        // by every config of this call: rows for every local batch the
+        // uniform DPs query, built from the class's own database.
+        let prefix_span = tracer.child_span("cost_prefixes", root);
+        let prefixes: Vec<Vec<CostPrefix>> = backbones
+            .iter()
+            .map(|&bb| {
+                dbs.iter()
+                    .map(|class_db| {
+                        let mut prefix = CostPrefix::new(class_db, bb);
+                        for &hp in &configs {
+                            prefix.ensure_batch(class_db, planner.local_batch(hp, global_batch));
+                        }
+                        prefix
+                    })
+                    .collect()
+            })
+            .collect();
+        prefix_span.finish();
+
+        Ok(Search {
+            planner,
+            global_batch,
+            backbones,
+            class_map,
+            dbs,
+            profile_report,
+            configs,
+            prefixes,
+            fill_cfg,
+            mm: MemoryModel::new(&planner.model),
+        })
+    }
+
+    /// An admissible ceiling on the cluster throughput configuration `hp`
+    /// can reach, from layer times alone — before any partition or
+    /// schedule exists.
+    ///
+    /// Every stage replica runs micro-batches of `b = group_batch/(M·r)`
+    /// with `r = G/S`. Per backbone, `T = Σ_layers min_class(fwd + bwd)` at
+    /// `b` bounds one micro-batch's summed stage time from below, whatever
+    /// the split and whichever class each stage lands on. Stage `k` cannot
+    /// start before micro-batch 1's forwards through the stages before it,
+    /// then runs `M·t_k` on one serial slot, and after its last backward
+    /// that micro-batch's backward still passes back through the stages
+    /// before it: `makespan ≥ P_k + M·t_k` for every `k`, `P_k` the summed
+    /// stage time before `k`. The split of `T` minimising the largest of
+    /// these makes them all equal, giving `T / (1 − ((M−1)/M)^S)`. That
+    /// holds for each pipeline of a bidirectional plan; every plan also
+    /// spreads `M·ΣT` of work over `S` serial slots. Communication,
+    /// self-conditioning passes, gradient syncs and the frozen tail only
+    /// add time, so `dp_groups · samples / makespan` is bounded by the
+    /// result, which carries a `1e-9` relative margin for rounding.
+    fn ceiling(&self, hp: HyperParams) -> f64 {
+        let world = self.planner.cluster.world_size();
+        let batch = self.planner.local_batch(hp, self.global_batch);
+        let m = hp.num_micro_batches as f64;
+        let chain = 1.0 - ((m - 1.0) / m).powi(hp.num_stages as i32);
+        let mut makespan_lb = 0.0f64;
+        let mut work = 0.0;
+        for class_prefixes in &self.prefixes {
+            let views: Vec<_> = class_prefixes.iter().map(|p| p.batch_view(batch)).collect();
+            let layers = class_prefixes.first().map_or(0, CostPrefix::num_layers);
+            let t: f64 = (0..layers)
+                .map(|l| {
+                    let layer = l..l + 1;
+                    views
+                        .iter()
+                        .map(|v| v.fwd_range(&layer) + v.bwd_range(&layer))
+                        .fold(f64::INFINITY, f64::min)
+                })
+                .sum();
+            makespan_lb = makespan_lb.max(t / chain);
+            work += t;
+        }
+        makespan_lb = makespan_lb.max(m * work / hp.num_stages as f64);
+        let samples = self.backbones.len() as f64 * hp.group_batch(self.global_batch, world);
+        (world / hp.group_size) as f64 * samples / makespan_lb * (1.0 + 1e-9)
+    }
+
+    /// Evaluates configuration `index` end to end under a `config` span
+    /// parented at `search_span`: partition, schedule, fill, memory check,
+    /// throughput. Pure with respect to the shared inputs, so configs can
+    /// be evaluated on any thread.
+    fn evaluate(
+        &self,
+        index: usize,
+        incumbent: &Incumbent,
+        search_span: Option<SpanId>,
+    ) -> ConfigOutcome {
+        let hp = self.configs[index];
+        let mut span = self.planner.tracer.child_span("config", search_span);
+        span.set("index", index);
+        span.set("stages", hp.num_stages);
+        span.set("micro_batches", hp.num_micro_batches);
+        span.set("group_size", hp.group_size);
+        let outcome = self.evaluate_inner(index, incumbent, span.id());
+        // DpStats for *this* config folded in as attributes (summed stats
+        // land on the `config_search` span and in `PlanStats`).
+        span.set("dp_candidates", outcome.stats.candidates);
+        span.set("dp_pruned", outcome.stats.pruned);
+        span.set("fill_skipped", outcome.fill_skipped);
+        span.set("feasible", outcome.plan.is_some());
+        if let Some(plan) = &outcome.plan {
+            span.set("throughput", plan.throughput);
+        }
+        outcome
+    }
+
+    /// The body of [`Search::evaluate`]; `span` parents the
+    /// partition/schedule/fill child spans.
+    ///
+    /// The incumbent short-circuits the filling pass: filling only ever
+    /// *adds* time beyond the backbone schedule, so
+    /// `group_batch / max(compute_end, sync_end)` bounds the group
+    /// throughput from above and a config strictly below the best known
+    /// throughput can be abandoned without changing the selection.
+    fn evaluate_inner(
+        &self,
+        index: usize,
+        incumbent: &Incumbent,
+        span: Option<SpanId>,
+    ) -> ConfigOutcome {
+        let planner = self.planner;
+        let tracer = &planner.tracer;
+        let hp = self.configs[index];
+        let dbs = &self.dbs[..];
+        let backbones = &self.backbones;
+        let mut outcome = ConfigOutcome {
+            index,
+            plan: None,
+            partition_seconds: 0.0,
+            fill_seconds: 0.0,
+            stats: DpStats::default(),
+            throughput_ub: None,
+            fill_skipped: false,
+        };
+        let world = planner.cluster.world_size();
+        let Some(layout) = DataParallelLayout::new(&planner.cluster, hp.group_size) else {
+            return outcome;
+        };
+        let cfg = PartitionConfig::new(
+            hp.num_stages,
+            hp.num_micro_batches,
+            hp.group_batch(self.global_batch, world),
+        );
+        let part = Partitioner::new(&dbs[0], &planner.cluster, &layout).with_class_dbs(dbs);
+
+        let t0 = Instant::now();
+        let partition_span = tracer.child_span("partition", span);
+        let prefixes = &self.prefixes;
+        let partition = if backbones.len() == 1 {
+            match part.partition_single_with(backbones[0], &cfg, &prefixes[0], &mut outcome.stats) {
+                Ok(p) => BackbonePartition::Single(p),
+                Err(_) => return outcome,
+            }
+        } else {
+            match part.partition_bidirectional_with(
+                backbones[0],
+                backbones[1],
+                &cfg,
+                &prefixes[0],
+                &prefixes[1],
+                &mut outcome.stats,
+            ) {
+                Ok(p) => BackbonePartition::Bidirectional(p),
+                Err(_) => return outcome,
+            }
+        };
+        partition_span.finish();
+        outcome.partition_seconds = t0.elapsed().as_secs_f64();
+
+        let t1 = Instant::now();
+        let schedule_span = tracer.child_span("schedule", span);
+        let builder = ScheduleBuilder::new(&dbs[0], &planner.cluster, &layout).with_class_dbs(dbs);
+        let schedule = match &partition {
+            BackbonePartition::Single(p) => builder.build_single(p, planner.schedule),
+            BackbonePartition::Bidirectional(p) => builder.build_bidirectional(p),
+        };
+        schedule_span.finish();
+        let Ok(schedule) = schedule else {
+            return outcome;
+        };
+
+        let dp_groups = world / hp.group_size;
+        let makespan = schedule.compute_end().max(schedule.sync_end());
+        if makespan > 0.0 {
+            outcome.throughput_ub = Some(dp_groups as f64 * schedule.group_batch / makespan);
+        }
+        if outcome.throughput_ub.is_some_and(|ub| ub < incumbent.get()) {
+            // Fill-skip upper-bound cut: the span attribute lands on the
+            // config span via the wrapper.
+            outcome.fill_skipped = true;
+            return outcome;
+        }
+
+        let mut fill_span = tracer.child_span("fill", span);
+        let fill_cfg = &self.fill_cfg;
+        let bubbles = schedule.bubbles(fill_cfg.min_bubble_seconds);
+        // The frozen part runs data-parallel on every device; its tail is
+        // gated by the slowest device class.
+        let filler = Filler::new(
+            &dbs[self.class_map.slowest_class().min(dbs.len() - 1)],
+            fill_cfg.clone(),
+        );
+        let fill = if planner.options.bubble_filling {
+            match filler.fill(&bubbles, schedule.group_batch, hp.group_size) {
+                Ok(f) => f,
+                Err(_) => return outcome,
+            }
+        } else {
+            // Ablation: nothing filled; the frozen part is a pure tail.
+            match filler.fill(&[], schedule.group_batch, hp.group_size) {
+                Ok(f) => f,
+                Err(_) => return outcome,
+            }
+        };
+        let combined = CombinedIteration::new(&schedule, &bubbles, &fill);
+        fill_span.set("bubbles", bubbles.len());
+        fill_span.finish();
+        outcome.fill_seconds = t1.elapsed().as_secs_f64();
+
+        let Some(peak) = planner.check_memory(&self.mm, &partition, &layout, &self.class_map)
+        else {
+            return outcome;
+        };
+        let throughput = combined.cluster_throughput(dp_groups);
+        outcome.plan = Some(Plan {
+            hyper: hp,
+            partition,
+            schedule,
+            bubbles,
+            fill,
+            iteration_time: combined.iteration_time(),
+            throughput,
+            bubble_ratio: combined.bubble_ratio(),
+            peak_memory_bytes: peak,
+            preprocessing: PreprocessingReport::default(),
+        });
+        outcome
+    }
+
+    /// One search worker: takes configurations from the shared best-first
+    /// `order` through `cursor` until the order is exhausted or cut.
+    fn work(
+        &self,
+        order: &[usize],
+        ceilings: &[f64],
+        cursor: &AtomicUsize,
+        incumbent: &Incumbent,
+        search_span: Option<SpanId>,
+    ) -> WorkerResult {
+        let mut local = WorkerResult::default();
+        loop {
+            let position = cursor.fetch_add(1, Ordering::Relaxed);
+            let Some(&index) = order.get(position) else {
+                break;
+            };
+            if ceilings[index] < incumbent.get() {
+                // Every later configuration's ceiling is no higher and the
+                // incumbent only rises, so the rest of the order is cut
+                // too: claim it and stop. Positions other workers already
+                // took are theirs to count.
+                let claimed = cursor.swap(order.len(), Ordering::Relaxed);
+                local.skip(1 + order.len().saturating_sub(claimed));
+                break;
+            }
+            let outcome = self.evaluate(index, incumbent, search_span);
+            if let Some(plan) = &outcome.plan {
+                incumbent.raise(plan.throughput);
+            }
+            local.absorb(outcome);
+        }
+        local
     }
 }
 
@@ -239,9 +628,15 @@ impl Planner {
     }
 
     /// Fans the per-configuration search of one plan call across `workers`
-    /// threads (1 = sequential, the default). The result is identical for
-    /// any worker count: candidates are ranked by simulated throughput with
-    /// exact ties broken by enumeration order, a total order.
+    /// threads (1 = sequential, the default). Workers take configurations
+    /// from one best-first order (highest admissible throughput ceiling
+    /// first) and share one incumbent, so a plan found by any worker lets
+    /// every worker skip configurations that cannot beat it — before their
+    /// partition DP (ceiling cut) or before their filling pass (post-schedule
+    /// cut). The result is identical for any worker count: candidates are
+    /// ranked by simulated throughput with exact ties broken by enumeration
+    /// order, a total order, and a cut only skips a configuration strictly
+    /// below a feasible plan.
     pub fn with_parallelism(mut self, workers: usize) -> Self {
         self.parallelism = workers.max(1);
         self
@@ -321,8 +716,9 @@ impl Planner {
         self.plan_with_stats(global_batch).map(|(plan, _)| plan)
     }
 
-    /// [`Planner::plan`] plus search counters: configs enumerated and
-    /// feasible, DP candidates evaluated and pruned, threads used.
+    /// [`Planner::plan`] plus search counters: configs enumerated, skipped
+    /// by a bound and feasible, DP candidates evaluated and pruned, threads
+    /// used (see [`PlanStats`]).
     ///
     /// # Errors
     ///
@@ -332,127 +728,34 @@ impl Planner {
         root.set("model", self.model.name.as_str());
         root.set("world_size", self.cluster.world_size());
         root.set("global_batch", global_batch);
-        let root_id = root.id();
+        let search = Search::prepare(self, global_batch, root.id())?;
+        let total = search.configs.len();
 
-        let mut validate_span = self.tracer.child_span("validate", root_id);
-        self.model
-            .validate()
-            .map_err(|e| PlanError::InvalidModel(e.to_string()))?;
-        self.cluster
-            .validate_classes()
-            .map_err(PlanError::InvalidRequest)?;
-        let backbones: Vec<_> = self.model.backbones().map(|(id, _)| id).collect();
-        if backbones.len() > 2 {
-            return Err(PlanError::TooManyBackbones(backbones.len()));
-        }
-        validate_span.set("backbones", backbones.len());
-        validate_span.finish();
-
-        // Step 1: profile once per device class (simulated wall time
-        // reported). Homogeneous clusters resolve to a single class.
-        let class_map = self.cluster.class_map();
-        let mut profile_span = self.tracer.child_span("profile", root_id);
-        let (dbs, profile_report) =
-            self.profile_class_dbs(&class_map.compute_scales(), global_batch)?;
-        profile_span.set("classes", dbs.len());
-        profile_span.set("simulated_wall_s", profile_report.wall_time_seconds);
-        profile_span.finish();
-
-        let mut enumerate_span = self.tracer.child_span("enumerate_configs", root_id);
-        let min_layers = backbones
-            .iter()
-            .map(|&b| self.model.component(b).num_layers())
-            .min()
-            .ok_or_else(|| PlanError::InvalidRequest("model has no backbone component".into()))?;
-        let configs = enumerate_configs(&self.cluster, global_batch, min_layers, &self.search)
-            .map_err(|e| PlanError::InvalidRequest(e.to_string()))?;
-        enumerate_span.set("configs", configs.len());
-        enumerate_span.finish();
-
-        let mut fill_cfg = self.fill_cfg.clone();
-        fill_cfg.partial_batch = self.options.partial_batch;
-        let world = self.cluster.world_size();
-
-        // One CostPrefix per (backbone, device class), shared (read-only)
-        // by every config of this call: rows for every local batch the
-        // uniform DPs query, built from the class's own database.
-        let prefix_span = self.tracer.child_span("cost_prefixes", root_id);
-        let prefixes: Vec<Vec<CostPrefix>> = backbones
-            .iter()
-            .map(|&bb| {
-                dbs.iter()
-                    .map(|class_db| {
-                        let mut prefix = CostPrefix::new(class_db, bb);
-                        for hp in &configs {
-                            let cfg = PartitionConfig::new(
-                                hp.num_stages,
-                                hp.num_micro_batches,
-                                hp.group_batch(global_batch, world),
-                            );
-                            let r = hp.group_size / hp.num_stages;
-                            prefix.ensure_batch(class_db, cfg.micro_batch() / r as f64);
-                        }
-                        prefix
-                    })
-                    .collect()
-            })
-            .collect();
-        prefix_span.finish();
-
-        let mm = MemoryModel::new(&self.model);
-        let mut search_span = self.tracer.child_span("config_search", root_id);
+        // Best-first: every configuration's admissible throughput ceiling,
+        // highest first (a stable sort keeps enumeration order on ties).
+        // Workers take configurations from this one order and share one
+        // incumbent; a configuration whose ceiling is strictly below it is
+        // skipped before its partition DP runs.
+        let mut search_span = self.tracer.child_span("config_search", root.id());
         let search_id = search_span.id();
-        // `best_so_far` is this worker's best throughput: a config whose
-        // post-schedule upper bound cannot beat it skips the filling pass.
-        let evaluate = |index: usize, best_so_far: f64| -> ConfigOutcome {
-            self.evaluate_config(
-                index,
-                configs[index],
-                global_batch,
-                &dbs,
-                &backbones,
-                &prefixes,
-                &fill_cfg,
-                &mm,
-                &class_map,
-                best_so_far,
-                search_id,
-            )
-        };
+        let ceilings: Vec<f64> = search
+            .configs
+            .iter()
+            .map(|&hp| search.ceiling(hp))
+            .collect();
+        let mut order: Vec<usize> = (0..total).collect();
+        order.sort_by(|&a, &b| ceilings[b].total_cmp(&ceilings[a]));
+        let cursor = AtomicUsize::new(0);
+        let incumbent = Incumbent::default();
+        let work = || search.work(&order, &ceilings, &cursor, &incumbent, search_id);
 
-        let workers = self.parallelism.max(1).min(configs.len().max(1));
+        let workers = self.parallelism.max(1).min(total.max(1));
         let mut result = WorkerResult::default();
         if workers <= 1 {
-            for index in 0..configs.len() {
-                let beat = result
-                    .best
-                    .as_ref()
-                    .map_or(f64::NEG_INFINITY, |(_, b)| b.throughput);
-                result.absorb(evaluate(index, beat));
-            }
+            result = work();
         } else {
-            let cursor = AtomicUsize::new(0);
-            let total = configs.len();
             let partials = std::thread::scope(|scope| {
-                let handles: Vec<_> = (0..workers)
-                    .map(|_| {
-                        scope.spawn(|| {
-                            let mut local = WorkerResult::default();
-                            loop {
-                                let index = cursor.fetch_add(1, Ordering::Relaxed);
-                                if index >= total {
-                                    break;
-                                }
-                                let beat = local
-                                    .best
-                                    .as_ref()
-                                    .map_or(f64::NEG_INFINITY, |(_, b)| b.throughput);
-                                local.absorb(evaluate(index, beat));
-                            }
-                            local
-                        })
-                    })
-                    .collect();
+                let handles: Vec<_> = (0..workers).map(|_| scope.spawn(work)).collect();
                 handles
                     .into_iter()
                     .map(|h| match h.join() {
@@ -468,212 +771,44 @@ impl Planner {
         search_span.set("workers", workers);
         search_span.set("feasible", result.feasible);
         search_span.set("fill_skipped", result.fill_skipped);
+        search_span.set("bound_skipped", result.bound_skipped);
         search_span.set("dp_candidates", result.stats.candidates);
         search_span.set("dp_pruned", result.stats.pruned);
         search_span.finish();
 
-        let mut select_span = self.tracer.child_span("select", root_id);
+        let mut select_span = self.tracer.child_span("select", root.id());
         let stats = PlanStats {
-            configs: configs.len(),
+            configs: total,
             feasible: result.feasible,
             dp: result.stats,
             fill_skipped: result.fill_skipped,
+            bound_skipped: result.bound_skipped,
             parallelism: workers,
         };
         let (best_index, mut plan) = result.best.ok_or(PlanError::NoFeasibleConfig)?;
         plan.preprocessing = PreprocessingReport {
-            profiling_seconds: profile_report.wall_time_seconds,
+            profiling_seconds: search.profile_report.wall_time_seconds,
             partition_seconds: result.partition_seconds,
             fill_seconds: result.fill_seconds,
         };
         select_span.set("best_config", best_index);
         select_span.set("throughput", plan.throughput);
         select_span.finish();
-        root.set("configs", configs.len());
+        root.set("configs", total);
         root.finish();
         Ok((plan, stats))
     }
 
-    /// Evaluates one (S, M, D) configuration end to end: partition,
-    /// schedule, fill, memory check, throughput. Pure with respect to the
-    /// shared inputs, so configs can be evaluated on any thread.
-    ///
-    /// `best_so_far` short-circuits the filling pass: filling only ever
-    /// *adds* time beyond the backbone schedule, so
-    /// `group_batch / max(compute_end, sync_end)` bounds the group
-    /// throughput from above and a config strictly below the best known
-    /// throughput can be abandoned without changing the selection.
-    #[allow(clippy::too_many_arguments)]
-    fn evaluate_config(
-        &self,
-        index: usize,
-        hp: HyperParams,
-        global_batch: u32,
-        dbs: &[ProfileDb],
-        backbones: &[ComponentId],
-        prefixes: &[Vec<CostPrefix>],
-        fill_cfg: &FillConfig,
-        mm: &MemoryModel<'_>,
-        class_map: &ClassMap,
-        best_so_far: f64,
-        search_span: Option<SpanId>,
-    ) -> ConfigOutcome {
-        let mut span = self.tracer.child_span("config", search_span);
-        span.set("index", index);
-        span.set("stages", hp.num_stages);
-        span.set("micro_batches", hp.num_micro_batches);
-        span.set("group_size", hp.group_size);
-        let outcome = self.evaluate_config_inner(
-            index,
-            hp,
-            global_batch,
-            dbs,
-            backbones,
-            prefixes,
-            fill_cfg,
-            mm,
-            class_map,
-            best_so_far,
-            &mut span,
-        );
-        // DpStats for *this* config folded in as attributes (summed stats
-        // land on the `config_search` span and in `PlanStats`).
-        span.set("dp_candidates", outcome.stats.candidates);
-        span.set("dp_pruned", outcome.stats.pruned);
-        span.set("fill_skipped", outcome.fill_skipped);
-        span.set("feasible", outcome.plan.is_some());
-        if let Some(plan) = &outcome.plan {
-            span.set("throughput", plan.throughput);
-        }
-        outcome
-    }
-
-    /// The body of [`Planner::evaluate_config`]; `span` is the config's
-    /// trace span, used only to parent the partition/schedule/fill child
-    /// spans (a no-op span when tracing is off).
-    #[allow(clippy::too_many_arguments)]
-    fn evaluate_config_inner(
-        &self,
-        index: usize,
-        hp: HyperParams,
-        global_batch: u32,
-        dbs: &[ProfileDb],
-        backbones: &[ComponentId],
-        prefixes: &[Vec<CostPrefix>],
-        fill_cfg: &FillConfig,
-        mm: &MemoryModel<'_>,
-        class_map: &ClassMap,
-        best_so_far: f64,
-        span: &mut Span,
-    ) -> ConfigOutcome {
-        let mut outcome = ConfigOutcome {
-            index,
-            plan: None,
-            partition_seconds: 0.0,
-            fill_seconds: 0.0,
-            stats: DpStats::default(),
-            fill_skipped: false,
-        };
-        let world = self.cluster.world_size();
-        let Some(layout) = DataParallelLayout::new(&self.cluster, hp.group_size) else {
-            return outcome;
-        };
+    /// The local batch every stage replica of `hp` runs per micro-batch:
+    /// `group_batch / M / (G/S)` under uniform replication — the batch the
+    /// partition DPs query the cost tables at.
+    fn local_batch(&self, hp: HyperParams, global_batch: u32) -> f64 {
         let cfg = PartitionConfig::new(
             hp.num_stages,
             hp.num_micro_batches,
-            hp.group_batch(global_batch, world),
+            hp.group_batch(global_batch, self.cluster.world_size()),
         );
-        let part = Partitioner::new(&dbs[0], &self.cluster, &layout).with_class_dbs(dbs);
-
-        let t0 = Instant::now();
-        let partition_span = self.tracer.child_span("partition", span.id());
-        let partition = if backbones.len() == 1 {
-            match part.partition_single_with(backbones[0], &cfg, &prefixes[0], &mut outcome.stats) {
-                Ok(p) => BackbonePartition::Single(p),
-                Err(_) => return outcome,
-            }
-        } else {
-            match part.partition_bidirectional_with(
-                backbones[0],
-                backbones[1],
-                &cfg,
-                &prefixes[0],
-                &prefixes[1],
-                &mut outcome.stats,
-            ) {
-                Ok(p) => BackbonePartition::Bidirectional(p),
-                Err(_) => return outcome,
-            }
-        };
-        partition_span.finish();
-        outcome.partition_seconds = t0.elapsed().as_secs_f64();
-
-        let t1 = Instant::now();
-        let schedule_span = self.tracer.child_span("schedule", span.id());
-        let builder = ScheduleBuilder::new(&dbs[0], &self.cluster, &layout).with_class_dbs(dbs);
-        let schedule = match &partition {
-            BackbonePartition::Single(p) => builder.build_single(p, self.schedule),
-            BackbonePartition::Bidirectional(p) => builder.build_bidirectional(p),
-        };
-        schedule_span.finish();
-        let Ok(schedule) = schedule else {
-            return outcome;
-        };
-
-        let dp_groups = world / hp.group_size;
-        let makespan = schedule.compute_end().max(schedule.sync_end());
-        if makespan > 0.0 {
-            let throughput_ub = dp_groups as f64 * schedule.group_batch / makespan;
-            if throughput_ub < best_so_far {
-                // Fill-skip upper-bound cut: the span attribute lands on the
-                // config span via the wrapper.
-                outcome.fill_skipped = true;
-                return outcome;
-            }
-        }
-
-        let mut fill_span = self.tracer.child_span("fill", span.id());
-        let bubbles = schedule.bubbles(fill_cfg.min_bubble_seconds);
-        // The frozen part runs data-parallel on every device; its tail is
-        // gated by the slowest device class.
-        let filler = Filler::new(
-            &dbs[class_map.slowest_class().min(dbs.len() - 1)],
-            fill_cfg.clone(),
-        );
-        let fill = if self.options.bubble_filling {
-            match filler.fill(&bubbles, schedule.group_batch, hp.group_size) {
-                Ok(f) => f,
-                Err(_) => return outcome,
-            }
-        } else {
-            // Ablation: nothing filled; the frozen part is a pure tail.
-            match filler.fill(&[], schedule.group_batch, hp.group_size) {
-                Ok(f) => f,
-                Err(_) => return outcome,
-            }
-        };
-        let combined = CombinedIteration::new(&schedule, &bubbles, &fill);
-        fill_span.set("bubbles", bubbles.len());
-        fill_span.finish();
-        outcome.fill_seconds = t1.elapsed().as_secs_f64();
-
-        let Some(peak) = self.check_memory(mm, &partition, &layout, class_map) else {
-            return outcome;
-        };
-        let throughput = combined.cluster_throughput(dp_groups);
-        outcome.plan = Some(Plan {
-            hyper: hp,
-            partition,
-            schedule,
-            bubbles,
-            fill,
-            iteration_time: combined.iteration_time(),
-            throughput,
-            bubble_ratio: combined.bubble_ratio(),
-            peak_memory_bytes: peak,
-            preprocessing: PreprocessingReport::default(),
-        });
-        outcome
+        cfg.micro_batch() / (hp.group_size / hp.num_stages) as f64
     }
 
     /// The pre-optimisation planning loop, kept as ground truth: a
@@ -868,6 +1003,254 @@ impl Planner {
                 } else {
                     Some(total)
                 }
+            }
+        }
+    }
+}
+
+/// Checks on the best-first config search: the throughput ceiling is
+/// admissible, and the search with its ceiling and fill cuts selects the
+/// plan of an uncut search on generated cli-style specs (any zoo model
+/// including both cascaded models, 1-8 machines or mixed A100/H100 fleets,
+/// batches 64-1024), at one worker and at two.
+#[cfg(test)]
+mod search_tests {
+    use super::*;
+    use dpipe_trace::AttrValue;
+    use proptest::prelude::*;
+    use std::sync::Mutex;
+
+    /// Evaluates every configuration of `spec` with both cuts off (an
+    /// incumbent of 0.0 cuts nothing) and checks that the pre-partition
+    /// ceiling bounds the post-schedule throughput bound and the final
+    /// throughput. Returns (configs checked, largest bound/ceiling ratio).
+    fn check_ceilings(label: &str, spec: &PlanSpec) -> (usize, f64) {
+        let planner = Planner::from_spec(spec).unwrap();
+        let search = Search::prepare(&planner, spec.global_batch, None).unwrap();
+        let mut tightest = 0.0f64;
+        for (index, &hp) in search.configs.iter().enumerate() {
+            let ceiling = search.ceiling(hp);
+            let outcome = search.evaluate(index, &Incumbent::default(), None);
+            assert!(
+                !outcome.fill_skipped,
+                "{label} config {index}: cut with cuts off"
+            );
+            let bounds = outcome
+                .throughput_ub
+                .into_iter()
+                .chain(outcome.plan.as_ref().map(|p| p.throughput));
+            for bound in bounds {
+                assert!(
+                    ceiling >= bound,
+                    "{label} config {index} {hp:?}: ceiling {ceiling} < bound {bound}"
+                );
+                tightest = tightest.max(bound / ceiling);
+            }
+        }
+        (search.configs.len(), tightest)
+    }
+
+    #[test]
+    fn throughput_ceiling_is_admissible() {
+        let cluster_for = |gpus: usize| {
+            if gpus > 8 {
+                ClusterSpec::p4de(gpus / 8)
+            } else {
+                ClusterSpec::single_node(gpus)
+            }
+        };
+        // The golden grid: every zoo model × {8, 16, 64} GPUs × {64, 256}.
+        let mut specs = Vec::new();
+        for model in ZOO {
+            for gpus in [8, 16, 64] {
+                for batch in [64, 256] {
+                    let label = format!("{model}@{gpus}/b{batch}");
+                    specs.push((label, PlanSpec::zoo(model, cluster_for(gpus), batch)));
+                }
+            }
+        }
+        // A mixed A100/H100 fleet (classes time the same layer differently)
+        // and record-backed profiles (interpolated layer times).
+        let mixed = PlanSpec::from_json(include_str!(
+            "../../../examples/specs/sd_mixed_a100_h100_b256.json"
+        ))
+        .unwrap();
+        specs.push(("sd_mixed_a100_h100_b256".to_owned(), mixed));
+        let recorded =
+            PlanSpec::zoo("cdm-lsun", ClusterSpec::single_node(8), 128).with_record_backed(true);
+        specs.push(("cdm-lsun@8/b128 records".to_owned(), recorded));
+
+        // Two checker threads share the list: the test is CPU-bound.
+        let next = AtomicUsize::new(0);
+        let totals = Mutex::new((0usize, 0.0f64));
+        std::thread::scope(|scope| {
+            for _ in 0..2 {
+                scope.spawn(|| {
+                    while let Some((label, spec)) = specs.get(next.fetch_add(1, Ordering::Relaxed))
+                    {
+                        let (n, ratio) = check_ceilings(label, spec);
+                        let mut totals = totals.lock().unwrap();
+                        totals.0 += n;
+                        totals.1 = totals.1.max(ratio);
+                    }
+                });
+            }
+        });
+        let (checked, tightest) = totals.into_inner().unwrap();
+        assert!(checked > 1000, "only {checked} configs checked");
+        // Admissible but not vacuous: some configuration comes close.
+        assert!(tightest > 0.5, "loosest ceiling ratio {tightest}");
+    }
+
+    const ZOO: [&str; 7] = [
+        "sd",
+        "controlnet",
+        "cdm-lsun",
+        "cdm-imagenet",
+        "dit",
+        "sdxl",
+        "imagen",
+    ];
+
+    /// A cli-style `PlanSpec` document for zoo model `model`: `machines`
+    /// A100-class machines, or (`mixed`) a fleet of `a100` + `h100` machines;
+    /// 8 GPUs per machine.
+    fn spec_json(model: &str, fleet: (bool, usize, usize, usize), batch: u32) -> String {
+        let (mixed, machines, a100, h100) = fleet;
+        let cluster = if mixed {
+            let classes = match (a100, h100) {
+                (0, h) => format!("h100:{}", h.max(1)),
+                (a, 0) => format!("a100:{a}"),
+                (a, h) => format!("a100:{a},h100:{h}"),
+            };
+            format!("{{\"machine_classes\":\"{classes}\",\"devices_per_machine\":8}}")
+        } else {
+            format!("{{\"machines\":{machines},\"devices_per_machine\":8}}")
+        };
+        format!(
+            "{{\"schema_version\":1,\"model\":\"{model}\",\"cluster\":{cluster},\"global_batch\":{batch}}}"
+        )
+    }
+
+    /// Every configuration evaluated in enumeration order with no cut — the
+    /// reference loop's search over the fast evaluator.
+    fn plan_uncut(planner: &Planner, global_batch: u32) -> Result<Plan, PlanError> {
+        let search = Search::prepare(planner, global_batch, None)?;
+        let mut result = WorkerResult::default();
+        for index in 0..search.configs.len() {
+            result.absorb(search.evaluate(index, &Incumbent::default(), None));
+        }
+        result
+            .best
+            .map(|(_, plan)| plan)
+            .ok_or(PlanError::NoFeasibleConfig)
+    }
+
+    fn count_attr(value: Option<&AttrValue>) -> usize {
+        match value {
+            Some(AttrValue::UInt(n)) => *n as usize,
+            other => panic!("expected a count attribute, got {other:?}"),
+        }
+    }
+
+    /// Plans `json` best-first at one and at two workers and checks each
+    /// result against `expected` in full structure (everything but the
+    /// wall-clock preprocessing report), plus the search's accounting:
+    /// evaluated `config` spans + `bound_skipped` == `configs`.
+    fn check_search(json: &str, expected: &Result<Plan, PlanError>) {
+        let spec = PlanSpec::from_json(json).unwrap();
+        for workers in [1usize, 2] {
+            let label = format!("{json} at {workers} workers");
+            let tracer = Tracer::new();
+            let planner = Planner::from_spec(&spec.clone().with_parallelism(workers))
+                .unwrap()
+                .with_tracer(tracer.clone());
+            let (plan, stats) = match (planner.plan_with_stats(spec.global_batch), expected) {
+                (Ok(fast), Ok(_)) => fast,
+                (Err(fast), Err(expected)) => {
+                    assert_eq!(fast.to_string(), expected.to_string(), "{label}");
+                    continue;
+                }
+                (fast, expected) => panic!(
+                    "{label}: best-first {:?} vs expected {:?}",
+                    fast.map(|(p, _)| p.summary()),
+                    expected.as_ref().map(Plan::summary)
+                ),
+            };
+            let Ok(expected) = expected else {
+                unreachable!()
+            };
+            assert_eq!(plan.summary(), expected.summary(), "{label}");
+            assert_eq!(plan.hyper, expected.hyper, "{label}");
+            assert_eq!(plan.partition, expected.partition, "{label}");
+            assert_eq!(plan.schedule, expected.schedule, "{label}");
+            assert_eq!(plan.bubbles, expected.bubbles, "{label}");
+            assert_eq!(plan.fill, expected.fill, "{label}");
+            assert_eq!(
+                plan.throughput.to_bits(),
+                expected.throughput.to_bits(),
+                "{label}"
+            );
+            assert_eq!(
+                plan.iteration_time.to_bits(),
+                expected.iteration_time.to_bits(),
+                "{label}"
+            );
+            assert_eq!(
+                plan.peak_memory_bytes, expected.peak_memory_bytes,
+                "{label}"
+            );
+
+            let trace = tracer.take();
+            let evaluated = trace.spans_named("config").count();
+            let search = trace.find("config_search").expect("config_search span");
+            let skipped = count_attr(search.attr("bound_skipped"));
+            let configs = count_attr(trace.find("plan").and_then(|p| p.attr("configs")));
+            assert_eq!(skipped, stats.bound_skipped, "{label}");
+            assert_eq!(configs, stats.configs, "{label}");
+            assert_eq!(evaluated + skipped, configs, "{label}");
+            assert!(stats.fill_skipped >= stats.bound_skipped, "{label}");
+        }
+    }
+
+    /// Fleets: (mixed, A100-class machines, mixed-fleet a100 and h100 counts).
+    fn fleets() -> impl Strategy<Value = (bool, usize, usize, usize)> {
+        (any::<bool>(), 1usize..9, 0usize..5, 0usize..5)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(3))]
+
+        /// Single-backbone models against the naive reference planner.
+        #[test]
+        fn best_first_search_selects_the_reference_plan(
+            model in 0usize..5,
+            fleet in fleets(),
+            batch in 64u32..1025,
+        ) {
+            let model = ["sd", "controlnet", "dit", "sdxl", "imagen"][model];
+            let json = spec_json(model, fleet, batch);
+            let spec = PlanSpec::from_json(&json).unwrap();
+            check_search(&json, &Planner::from_spec(&spec).unwrap().plan_reference(batch));
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(1))]
+
+        /// Both cascaded (bidirectional) models against the uncut search.
+        /// Their naive reference DP costs 5-75 s per spec in an unoptimised
+        /// build; `tests/golden_planner_equiv.rs` pins the fast evaluator
+        /// to it on cdm-lsun.
+        #[test]
+        fn best_first_search_selects_the_uncut_plan_on_cascaded_models(
+            fleet in fleets(),
+            batch in 64u32..1025,
+        ) {
+            for model in ["cdm-lsun", "cdm-imagenet"] {
+                let json = spec_json(model, fleet, batch);
+                let spec = PlanSpec::from_json(&json).unwrap();
+                check_search(&json, &plan_uncut(&Planner::from_spec(&spec).unwrap(), batch));
             }
         }
     }
